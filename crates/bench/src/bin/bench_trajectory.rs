@@ -31,7 +31,10 @@
 
 use std::path::Path;
 
+use p2_bench::{exit_with_usage, flag_arg};
 use p2_json::{write_atomically, Json};
+
+const USAGE: &str = "usage: bench_trajectory --out PATH [--sha SHA] FILE...";
 
 struct Record {
     bin: String,
@@ -99,16 +102,24 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out takes a path")),
-            "--sha" => sha = Some(args.next().expect("--sha takes a value")),
-            other => inputs.push(other.to_string()),
+            "--out" => out_path = Some(flag_arg::<String>(&mut args, "--out", USAGE)),
+            "--sha" => sha = Some(flag_arg::<String>(&mut args, "--sha", USAGE)),
+            "--help" | "-h" => exit_with_usage(USAGE, None),
+            flag if flag.starts_with('-') => {
+                exit_with_usage(USAGE, Some(&format!("unknown argument `{flag}`")))
+            }
+            input => inputs.push(input.to_string()),
         }
     }
-    let out_path = out_path.expect("--out is required");
+    let Some(out_path) = out_path else {
+        exit_with_usage(USAGE, Some("--out is required"))
+    };
     let sha = sha
         .or_else(|| std::env::var("GITHUB_SHA").ok())
         .unwrap_or_else(|| "unknown".to_string());
-    assert!(!inputs.is_empty(), "no input files given");
+    if inputs.is_empty() {
+        exit_with_usage(USAGE, Some("no input files given"));
+    }
 
     let mut records = Vec::new();
     let mut merged = 0usize;

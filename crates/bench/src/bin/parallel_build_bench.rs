@@ -15,9 +15,13 @@
 
 use std::time::Duration;
 
+use p2_bench::{exit_with_usage, flag_arg};
 use p2_placement::enumerate_matrices;
 use p2_synthesis::{HierarchyKind, SynthesisResult, Synthesizer};
 use p2_topology::presets;
+
+const USAGE: &str = "usage: parallel_build_bench [--size N] [--threads N] [--repeats N] \
+[--assert-speedup X] [--json PATH]";
 
 struct Args {
     size: usize,
@@ -38,28 +42,20 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--size" => {
-                let value = args.next().expect("--size takes a value");
-                parsed.size = value.parse().expect("--size takes an integer");
-            }
-            "--threads" => {
-                let value = args.next().expect("--threads takes a value");
-                parsed.threads = value.parse().expect("--threads takes an integer");
-            }
-            "--repeats" => {
-                let value = args.next().expect("--repeats takes a value");
-                parsed.repeats = value.parse().expect("--repeats takes an integer");
-            }
+            "--size" => parsed.size = flag_arg(&mut args, "--size", USAGE),
+            "--threads" => parsed.threads = flag_arg(&mut args, "--threads", USAGE),
+            "--repeats" => parsed.repeats = flag_arg(&mut args, "--repeats", USAGE),
             "--assert-speedup" => {
-                let value = args.next().expect("--assert-speedup takes a value");
-                parsed.assert_speedup =
-                    Some(value.parse().expect("--assert-speedup takes a float"));
+                parsed.assert_speedup = Some(flag_arg(&mut args, "--assert-speedup", USAGE));
             }
-            "--json" => parsed.json_path = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument: {other} (see the doc comment for usage)"),
+            "--json" => parsed.json_path = Some(flag_arg(&mut args, "--json", USAGE)),
+            "--help" | "-h" => exit_with_usage(USAGE, None),
+            other => exit_with_usage(USAGE, Some(&format!("unknown argument `{other}`"))),
         }
     }
-    assert!(parsed.repeats > 0, "--repeats must be positive");
+    if parsed.repeats == 0 {
+        exit_with_usage(USAGE, Some("--repeats must be positive"));
+    }
     parsed
 }
 

@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use p2_bench::{
-    fmt_s, run_specs_batch, table3_specs, table4_specs, threads_from_args, BatchOptions,
+    exit_with_usage, flag_arg, fmt_s, run_specs_batch, table3_specs, table4_specs, BatchOptions,
     ExperimentSpec,
 };
 use p2_core::ExperimentResult;
@@ -86,18 +86,24 @@ fn assert_identical(id: &str, serial: &ExperimentResult, batched: &ExperimentRes
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const USAGE: &str = "usage: sweep_batch [--threads N] [--json PATH] [--assert-speedup X]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = threads_from_args(&args);
-    let json_path = flag_value(&args, "--json");
-    let assert_speedup: Option<f64> = flag_value(&args, "--assert-speedup")
-        .map(|v| v.parse().expect("--assert-speedup needs a ratio, e.g. 1.5"));
+    let mut threads = 0;
+    let mut json_path: Option<String> = None;
+    let mut assert_speedup: Option<f64> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--threads" => threads = flag_arg(&mut args, "--threads", USAGE),
+            "--json" => json_path = Some(flag_arg(&mut args, "--json", USAGE)),
+            "--assert-speedup" => {
+                assert_speedup = Some(flag_arg(&mut args, "--assert-speedup", USAGE));
+            }
+            "--help" | "-h" => exit_with_usage(USAGE, None),
+            other => exit_with_usage(USAGE, Some(&format!("unknown argument `{other}`"))),
+        }
+    }
 
     let specs = batch_specs();
     println!(

@@ -26,6 +26,7 @@
 
 use std::time::Instant;
 
+use p2_bench::{exit_with_usage, flag_arg};
 use p2_placement::{enumerate_matrices, ParallelismMatrix};
 use p2_synthesis::{HierarchyKind, SynthesisStats, Synthesizer};
 use p2_topology::presets;
@@ -139,6 +140,9 @@ impl Record {
     }
 }
 
+const USAGE: &str = "usage: synthesis_smoke [--size N] [--count-only] [--threads N] [--profile] \
+[--case LABEL] [--json PATH]";
+
 struct Args {
     size: usize,
     count_only: bool,
@@ -160,19 +164,14 @@ fn parse_args() -> Args {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--size" => {
-                let value = args.next().expect("--size takes a value");
-                parsed.size = value.parse().expect("--size takes an integer");
-            }
+            "--size" => parsed.size = flag_arg(&mut args, "--size", USAGE),
             "--count-only" => parsed.count_only = true,
-            "--threads" => {
-                let value = args.next().expect("--threads takes a value");
-                parsed.threads = value.parse().expect("--threads takes an integer");
-            }
+            "--threads" => parsed.threads = flag_arg(&mut args, "--threads", USAGE),
             "--profile" => parsed.profile = true,
-            "--case" => parsed.case_filter = Some(args.next().expect("--case takes a label")),
-            "--json" => parsed.json_path = Some(args.next().expect("--json takes a path")),
-            other => panic!("unknown argument: {other} (see the doc comment for usage)"),
+            "--case" => parsed.case_filter = Some(flag_arg(&mut args, "--case", USAGE)),
+            "--json" => parsed.json_path = Some(flag_arg(&mut args, "--json", USAGE)),
+            "--help" | "-h" => exit_with_usage(USAGE, None),
+            other => exit_with_usage(USAGE, Some(&format!("unknown argument `{other}`"))),
         }
     }
     parsed

@@ -229,6 +229,37 @@ pub fn spec_sessions(
         .collect()
 }
 
+/// Ends a bench binary whose command line asked for help or cannot run:
+/// with `error` of `None` (`--help`) prints `usage` to stdout and exits 0;
+/// otherwise prints the error and `usage` to stderr and exits 2.
+pub fn exit_with_usage(usage: &str, error: Option<&str>) -> ! {
+    match error {
+        None => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        Some(error) => {
+            eprintln!("error: {error}\n{usage}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// Takes the value following `flag` off `args` and parses it, ending the
+/// binary through [`exit_with_usage`] when the value is missing or malformed.
+pub fn flag_arg<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    usage: &str,
+) -> T {
+    let Some(value) = args.next() else {
+        exit_with_usage(usage, Some(&format!("{flag} takes a value")))
+    };
+    value.parse().unwrap_or_else(|_| {
+        exit_with_usage(usage, Some(&format!("{flag}: cannot parse `{value}`")))
+    })
+}
+
 /// Parses `--threads N` from command-line arguments, defaulting to `0`
 /// (= every available core) when absent — the shared CLI convention of the
 /// rack-table and batch binaries.
@@ -287,40 +318,43 @@ pub fn sweep_synthesis(
     keep_top: Option<usize>,
     cost: Option<&Arc<dyn CostModel>>,
 ) -> usize {
-    p2_par::par_map_threads(threads, matrices, |_, m| {
-        let synth = Synthesizer::new(m.clone(), reduction.to_vec(), HierarchyKind::ReductionAxes)
-            .expect("valid synthesizer");
-        let cache = cost.map(|model| CachedCostModel::new(Arc::clone(model)));
-        let predict = |program: &Program| {
-            if let Some(model) = &cache {
-                let lowered = synth.lower(program).expect("synthesized programs lower");
-                let mut acc = CostAccumulator::new(model);
-                for step in &lowered.steps {
-                    acc.push(step);
-                }
-                assert!(acc.seconds() >= 0.0, "admissibility violated");
-            }
-        };
-        match keep_top {
-            None => {
-                let programs = synth.synthesize(max_program_size).programs;
-                programs.iter().for_each(&predict);
-                programs.len()
-            }
-            Some(k) => {
-                // The stream arrives shortest-first, so bounded retention of
-                // the k shortest programs is simply "clone the first k".
-                let mut retained: Vec<Program> = Vec::new();
-                let stats = synth.for_each_program(max_program_size, &mut |p: &Program| {
-                    predict(p);
-                    if retained.len() < k {
-                        retained.push(p.clone());
+    p2_par::scope(threads, |pool| {
+        pool.map(matrices, |_, m| {
+            let synth =
+                Synthesizer::new(m.clone(), reduction.to_vec(), HierarchyKind::ReductionAxes)
+                    .expect("valid synthesizer");
+            let cache = cost.map(|model| CachedCostModel::new(Arc::clone(model)));
+            let predict = |program: &Program| {
+                if let Some(model) = &cache {
+                    let lowered = synth.lower(program).expect("synthesized programs lower");
+                    let mut acc = CostAccumulator::new(model);
+                    for step in &lowered.steps {
+                        acc.push(step);
                     }
-                    SinkControl::Continue
-                });
-                stats.programs_emitted
+                    assert!(acc.seconds() >= 0.0, "admissibility violated");
+                }
+            };
+            match keep_top {
+                None => {
+                    let programs = synth.synthesize(max_program_size).programs;
+                    programs.iter().for_each(&predict);
+                    programs.len()
+                }
+                Some(k) => {
+                    // The stream arrives shortest-first, so bounded retention of
+                    // the k shortest programs is simply "clone the first k".
+                    let mut retained: Vec<Program> = Vec::new();
+                    let stats = synth.for_each_program(max_program_size, &mut |p: &Program| {
+                        predict(p);
+                        if retained.len() < k {
+                            retained.push(p.clone());
+                        }
+                        SinkControl::Continue
+                    });
+                    stats.programs_emitted
+                }
             }
-        }
+        })
     })
     .into_iter()
     .sum()

@@ -483,112 +483,6 @@ impl SharedTables {
     pub fn apply_misses(&self) -> usize {
         self.apply_misses.load(Ordering::Relaxed)
     }
-
-    /// A consistent copy of both tables for serialization: the interned
-    /// states in id order plus every memoized `[collective tag, participant
-    /// ids...]` → post-state-ids-or-error entry. The apply entries are copied
-    /// *before* the state count is read, so every id an entry references is
-    /// inside the exported state list — concurrent interning can only add
-    /// states the entries don't mention.
-    #[allow(clippy::type_complexity)]
-    pub fn export(
-        &self,
-    ) -> (
-        Vec<Arc<State>>,
-        Vec<(Box<[u32]>, Result<Arc<[u32]>, SemanticsError>)>,
-    ) {
-        let mut entries = Vec::new();
-        for shard in &self.apply_shards {
-            let map = shard.read().expect("apply shard lock");
-            entries.extend(map.iter().map(|(key, value)| (key.clone(), value.clone())));
-        }
-        let num_states = self.arena.len();
-        let states = (0..num_states as u32)
-            .map(|id| self.arena.get(id))
-            .collect();
-        (states, entries)
-    }
-
-    /// Seeds *empty* tables from an [`export`](SharedTables::export)-shaped
-    /// snapshot: states are interned in list order (reassigning the dense
-    /// ids the apply entries reference) and the apply entries installed
-    /// verbatim. Warm-seeding only changes which lookups hit — every entry a
-    /// cold run would derive is identical — so results stay bit-identical.
-    ///
-    /// Returns `false` without modifying anything when the tables are
-    /// non-empty or the snapshot is internally inconsistent (duplicate
-    /// states, or an apply entry referencing an id outside the state list);
-    /// the caller then proceeds cold.
-    #[allow(clippy::type_complexity)]
-    pub fn preload(
-        &self,
-        states: Vec<State>,
-        entries: Vec<(Box<[u32]>, Result<Arc<[u32]>, SemanticsError>)>,
-    ) -> bool {
-        let num_states = states.len();
-        let valid_id = |id: &u32| (*id as usize) < num_states;
-        let consistent = entries.iter().all(|(key, value)| {
-            // A key is the collective tag plus at least two participants.
-            key.len() >= 3
-                && key[1..].iter().all(valid_id)
-                && value.as_ref().map_or(true, |out| out.iter().all(valid_id))
-        });
-        if !consistent {
-            return false;
-        }
-        // Build the sharded maps outside the locks; installation is then a
-        // plain swap per shard.
-        let mut shard_maps: Vec<FxHashMap<Arc<State>, u32>> =
-            (0..SHARDS).map(|_| FxHashMap::default()).collect();
-        let mut arcs: Vec<Arc<State>> = Vec::with_capacity(num_states);
-        for (position, state) in states.into_iter().enumerate() {
-            let state = Arc::new(state);
-            let shard = Self::state_shard(&state);
-            if shard_maps[shard]
-                .insert(Arc::clone(&state), position as u32)
-                .is_some()
-            {
-                // A duplicate state collapsed — the snapshot's ids would be
-                // dangling. Reject rather than guess.
-                return false;
-            }
-            arcs.push(state);
-        }
-        let mut apply_maps: Vec<SharedApplyMap> =
-            (0..SHARDS).map(|_| SharedApplyMap::default()).collect();
-        for (key, value) in entries {
-            apply_maps[Self::apply_shard(&key)].insert(key, value);
-        }
-        // Take every write lock in shard order, verify emptiness, then swap
-        // the prebuilt maps in — all-or-nothing, as before the sharding.
-        let mut state_guards: Vec<_> = self
-            .state_shards
-            .iter()
-            .map(|shard| shard.write().expect("interner shard lock"))
-            .collect();
-        let mut apply_guards: Vec<_> = self
-            .apply_shards
-            .iter()
-            .map(|shard| shard.write().expect("apply shard lock"))
-            .collect();
-        if self.arena.len() != 0
-            || state_guards.iter().any(|guard| !guard.is_empty())
-            || apply_guards.iter().any(|guard| !guard.is_empty())
-        {
-            return false;
-        }
-        for (position, state) in arcs.iter().enumerate() {
-            self.arena.set(position as u32, Arc::clone(state));
-        }
-        self.arena.len.store(num_states, Ordering::Release);
-        for (guard, map) in state_guards.iter_mut().zip(shard_maps) {
-            **guard = map;
-        }
-        for (guard, map) in apply_guards.iter_mut().zip(apply_maps) {
-            **guard = map;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -735,54 +629,6 @@ mod tests {
         // 4 initial states + 1 shared post-AllReduce state.
         assert_eq!(shared.num_states(), 5);
         assert_eq!(shared.num_apply_entries(), 1);
-    }
-
-    #[test]
-    fn export_preload_round_trips_and_warm_tables_only_hit() {
-        let source = SharedTables::new();
-        let ids: Vec<u32> = (0..4)
-            .map(|d| source.intern(State::initial(4, d)).0)
-            .collect();
-        source.apply(Collective::AllReduce, &ids).0.unwrap();
-        source
-            .apply(Collective::AllReduce, &[ids[0], ids[0]])
-            .0
-            .unwrap_err();
-        let (states, entries) = source.export();
-        assert_eq!(states.len(), source.num_states());
-        assert_eq!(entries.len(), 2);
-
-        let warm = SharedTables::new();
-        assert!(warm.preload(
-            states.iter().map(|s| (**s).clone()).collect(),
-            entries.clone()
-        ));
-        assert_eq!(warm.num_states(), source.num_states());
-        assert_eq!(warm.num_apply_entries(), source.num_apply_entries());
-        // Every re-derivation is now a hit producing identical results, and
-        // re-interning reports presence with the original ids.
-        for (d, &id) in ids.iter().enumerate() {
-            let (warm_id, present) = warm.intern(State::initial(4, d));
-            assert!(present);
-            assert_eq!(warm_id, id);
-        }
-        let (cold_out, _) = source.apply(Collective::AllReduce, &ids);
-        let (warm_out, hit) = warm.apply(Collective::AllReduce, &ids);
-        assert!(hit);
-        assert_eq!(cold_out.unwrap(), warm_out.unwrap());
-        let (_, hit) = warm.apply(Collective::AllReduce, &[ids[0], ids[0]]);
-        assert!(hit);
-
-        // Non-empty tables refuse a preload.
-        assert!(!warm.preload(vec![], vec![]));
-        // Dangling apply ids and duplicate states are rejected.
-        let fresh = SharedTables::new();
-        assert!(!fresh.preload(
-            vec![State::initial(2, 0)],
-            vec![(vec![0, 0, 7].into_boxed_slice(), Ok(vec![0].into()))],
-        ));
-        assert!(!fresh.preload(vec![State::initial(2, 0), State::initial(2, 0)], vec![]));
-        assert_eq!(fresh.num_states(), 0);
     }
 
     #[test]

@@ -34,42 +34,6 @@ pub enum SemanticsError {
     EmptyStates,
 }
 
-impl SemanticsError {
-    /// A short stable token naming the variant, part of the table-store
-    /// snapshot format: memoized semantic errors persist as these strings,
-    /// so the spelling must never change for an existing variant.
-    pub fn stable_token(&self) -> &'static str {
-        match self {
-            SemanticsError::TrivialGroup => "trivial-group",
-            SemanticsError::DimensionMismatch => "dimension-mismatch",
-            SemanticsError::RowsMismatch => "rows-mismatch",
-            SemanticsError::OverlappingContributions => "overlapping-contributions",
-            SemanticsError::RowsNotDisjoint => "rows-not-disjoint",
-            SemanticsError::RowCountMismatch => "row-count-mismatch",
-            SemanticsError::ScatterIndivisible => "scatter-indivisible",
-            SemanticsError::NotInformative => "not-informative",
-            SemanticsError::EmptyStates => "empty-states",
-        }
-    }
-
-    /// The inverse of [`stable_token`](SemanticsError::stable_token):
-    /// `None` for unknown tokens (e.g. a snapshot written by a newer build).
-    pub fn from_stable_token(token: &str) -> Option<SemanticsError> {
-        Some(match token {
-            "trivial-group" => SemanticsError::TrivialGroup,
-            "dimension-mismatch" => SemanticsError::DimensionMismatch,
-            "rows-mismatch" => SemanticsError::RowsMismatch,
-            "overlapping-contributions" => SemanticsError::OverlappingContributions,
-            "rows-not-disjoint" => SemanticsError::RowsNotDisjoint,
-            "row-count-mismatch" => SemanticsError::RowCountMismatch,
-            "scatter-indivisible" => SemanticsError::ScatterIndivisible,
-            "not-informative" => SemanticsError::NotInformative,
-            "empty-states" => SemanticsError::EmptyStates,
-            _ => return None,
-        })
-    }
-}
-
 impl fmt::Display for SemanticsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {

@@ -59,7 +59,6 @@ pub struct P2Builder {
     shared_intern: Option<bool>,
     parallel_build: Option<bool>,
     shared_tables: Option<Arc<SharedTables>>,
-    table_store_dir: Option<std::path::PathBuf>,
     mode: RunMode,
 }
 
@@ -86,7 +85,6 @@ impl P2Builder {
             shared_intern: None,
             parallel_build: None,
             shared_tables: None,
-            table_store_dir: None,
             mode: RunMode::Measure,
         }
     }
@@ -115,7 +113,6 @@ impl P2Builder {
             shared_intern: Some(config.shared_intern),
             parallel_build: Some(config.parallel_build),
             shared_tables: config.shared_tables,
-            table_store_dir: config.table_store_dir,
             mode: RunMode::Measure,
             system: config.system,
         }
@@ -248,15 +245,6 @@ impl P2Builder {
         self
     }
 
-    /// Points the session at a cross-run table-snapshot directory: the sweep
-    /// warm-starts from the snapshot addressed by
-    /// [`P2Config::table_key`](crate::P2Config::table_key) and writes its
-    /// final tables back (see [`P2Config::table_store_dir`]).
-    pub fn table_store_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.table_store_dir = Some(dir.into());
-        self
-    }
-
     /// Sets how [`P2::run`] drives the pipeline: [`RunMode::Measure`] (the
     /// default), [`RunMode::Shortlist`] or [`RunMode::PredictOnly`].
     pub fn mode(mut self, mode: RunMode) -> Self {
@@ -321,9 +309,6 @@ impl P2Builder {
         }
         if let Some(tables) = self.shared_tables {
             config.shared_tables = Some(tables);
-        }
-        if let Some(dir) = self.table_store_dir {
-            config.table_store_dir = Some(dir);
         }
         if let Some(model) = self.cost_model {
             config.cost_model = Some(model);

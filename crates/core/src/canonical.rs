@@ -54,15 +54,6 @@ use crate::pipeline::RunMode;
 /// colliding with it.
 pub const CANONICAL_VERSION: &str = "p2-canonical-v1";
 
-/// Version tag leading every canonical *tables* form (and stored inside
-/// every table-store snapshot). Bump it whenever
-/// [`canonical_tables_form`] changes, whenever the snapshot JSON layout
-/// changes, or whenever anything the persisted tables encode changes
-/// meaning (the `Collective` tag order in apply keys, the `State` word
-/// layout, the memo-key format) — a bump re-addresses every snapshot, so
-/// stale tables are simply never loaded instead of being misread.
-pub const CANONICAL_TABLES_VERSION: &str = "p2-tables-v1";
-
 fn push_f64(out: &mut String, key: &str, value: f64) {
     let _ = writeln!(out, "{key}=0x{:016x}", value.to_bits());
 }
@@ -114,34 +105,6 @@ fn hierarchy_token(kind: HierarchyKind) -> &'static str {
     }
 }
 
-/// Renders the *tables*-relevant subset of an experiment: everything the
-/// persisted search tables (interned device states, collective apply cache,
-/// suffix memos) are a function of, and nothing more. Compared to
-/// [`P2Config::canonical_form`] this drops link bandwidth/latency, buffer
-/// size, noise, seed, repeats, retention, the cost model, the parallelism
-/// axes and the run mode — none of them reach the tables — so one snapshot
-/// warms every plan fingerprint that shares a machine shape, algorithm,
-/// hierarchy kind and program-size limit.
-pub fn canonical_tables_form(
-    system: &SystemTopology,
-    algo: NcclAlgo,
-    hierarchy_kind: HierarchyKind,
-    max_program_size: usize,
-) -> String {
-    let mut out = String::with_capacity(128);
-    out.push_str(CANONICAL_TABLES_VERSION);
-    out.push('\n');
-    let levels = system.hierarchy().levels();
-    let _ = writeln!(out, "system.depth={}", levels.len());
-    for (index, level) in levels.iter().enumerate() {
-        let _ = writeln!(out, "system.level={index},arity:{}", level.arity());
-    }
-    let _ = writeln!(out, "algo={}", algo_token(algo));
-    let _ = writeln!(out, "hierarchy={}", hierarchy_token(hierarchy_kind));
-    let _ = writeln!(out, "max_program_size={max_program_size}");
-    out
-}
-
 /// Renders a [`RunMode`] as its canonical token.
 pub fn canonical_mode(mode: RunMode) -> String {
     match mode {
@@ -189,26 +152,6 @@ impl P2Config {
             }
         }
         out
-    }
-
-    /// The tables-subset canonical form of this configuration — see
-    /// [`canonical_tables_form`].
-    pub fn canonical_tables_form(&self) -> String {
-        canonical_tables_form(
-            &self.system,
-            self.algo,
-            self.hierarchy_kind,
-            self.max_program_size,
-        )
-    }
-
-    /// The content address of this configuration's search-table snapshot:
-    /// `stable_digest128` over [`P2Config::canonical_tables_form`]. Coarser
-    /// than the plan fingerprint by design — many distinct plan fingerprints
-    /// (different buffer sizes, noise, cost models, modes, axes) map to one
-    /// table key and warm-start from the same snapshot.
-    pub fn table_key(&self) -> p2_hash::Fingerprint {
-        p2_hash::Fingerprint::of_bytes(self.canonical_tables_form().as_bytes())
     }
 }
 
@@ -332,97 +275,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn table_key_ignores_cost_only_knobs() {
-        let reference = base_config().table_key();
-        // Everything the tables never see: bytes, noise, seed, repeats,
-        // retention, cost model, cost/intern toggles, the parallelism and
-        // reduction axes, even the link speeds.
-        let mut variants: Vec<P2Config> = vec![
-            P2Config::new(presets::a100_system(2), vec![4, 8], vec![1]),
-            {
-                let mut c = base_config();
-                c.bytes_per_device = 1.0e9;
-                c
-            },
-            {
-                let mut c = base_config();
-                c.noise_fraction = 0.0;
-                c.seed = 1;
-                c.repeats = 2;
-                c
-            },
-            {
-                let mut c = base_config();
-                c.keep_top = Some(4);
-                c.prune_slack = 0.1;
-                c
-            },
-            {
-                let mut c = base_config();
-                c.cost_model = Some(c.make_cost_model(CostModelKind::LogGp).expect("model"));
-                c.cost_cache = false;
-                c.shared_intern = false;
-                c
-            },
-        ];
-        // A system with the same level arities but different link speeds.
-        let base_system = presets::a100_system(2);
-        let slow_links: Vec<_> = base_system
-            .links()
-            .iter()
-            .map(|l| {
-                p2_topology::Interconnect::new(l.name(), l.bandwidth() / 2.0, l.latency() * 3.0)
-                    .unwrap()
-            })
-            .collect();
-        let slow =
-            SystemTopology::with_name("slow-links", base_system.hierarchy().clone(), slow_links)
-                .expect("valid system");
-        variants.push(P2Config::new(slow, vec![8, 4], vec![0]));
-        for (index, variant) in variants.iter().enumerate() {
-            assert_eq!(
-                variant.table_key(),
-                reference,
-                "cost-only variant {index} should share the table key"
-            );
-        }
-    }
-
-    #[test]
-    fn table_key_tracks_every_tables_relevant_knob() {
-        let reference = base_config().table_key();
-        let variants: Vec<P2Config> = vec![
-            // Different arities (4 nodes instead of 2).
-            P2Config::new(presets::a100_system(4), vec![16, 4], vec![0]),
-            {
-                let mut c = base_config();
-                c.algo = NcclAlgo::Tree;
-                c
-            },
-            {
-                let mut c = base_config();
-                c.hierarchy_kind = HierarchyKind::System;
-                c
-            },
-            {
-                let mut c = base_config();
-                c.max_program_size = 6;
-                c
-            },
-        ];
-        for (index, variant) in variants.iter().enumerate() {
-            assert_ne!(
-                variant.table_key(),
-                reference,
-                "tables-relevant variant {index} should change the table key"
-            );
-        }
-        assert!(base_config()
-            .canonical_tables_form()
-            .starts_with(CANONICAL_TABLES_VERSION));
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use p2_cost::{AlphaBetaModel, CalibratedModel, CostModel, CostModelKind, LogGpModel, NcclAlgo};
@@ -110,24 +109,6 @@ pub struct P2Config {
     /// whoever owns the tables). Set via
     /// [`P2::with_shared_tables`](crate::P2::with_shared_tables).
     pub shared_tables: Option<Arc<p2_collectives::SharedTables>>,
-    /// Externally-supplied suffix-memo bank, the [`P2Config::shared_tables`]
-    /// counterpart for the emission engine's completion-count memos: searches
-    /// over a context already solved by any session holding the same bank
-    /// start from a filled memo. Result-invisible — memo values are
-    /// deterministic per context — so sharing never changes programs or
-    /// orderings, only the warm-start counters. `None` (the default) gives a
-    /// sweep its own bank only when a table store is attached. Set via
-    /// [`P2::with_shared_memo`](crate::P2::with_shared_memo).
-    pub shared_memo: Option<Arc<p2_synthesis::MemoBank>>,
-    /// Directory of cross-run table snapshots (see
-    /// [`TableStore`](crate::TableStore)). When set — and the session carries
-    /// no external tables or memo bank of its own — the sweep loads the
-    /// snapshot addressed by [`P2Config::table_key`] before spawning (or
-    /// starts empty on a miss) and writes its final tables back after
-    /// collecting. Warm starts are result-invisible; only
-    /// [`ExperimentResult::table_store`](crate::ExperimentResult::table_store)
-    /// observes them.
-    pub table_store_dir: Option<PathBuf>,
 }
 
 impl P2Config {
@@ -174,8 +155,6 @@ impl P2Config {
             shared_intern: true,
             parallel_build: true,
             shared_tables: None,
-            shared_memo: None,
-            table_store_dir: None,
         }
     }
 
@@ -261,7 +240,7 @@ impl P2Config {
     }
 
     /// Sets the worker-thread count for the placement sweep (`0` = all cores,
-    /// `1` = serial — the sentinel is resolved by [`p2_par::par_map_threads`]).
+    /// `1` = serial — the sentinel is resolved by [`p2_par::scope`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -307,13 +286,6 @@ impl P2Config {
     /// each placement (see [`P2Config::parallel_build`]).
     pub fn with_parallel_build(mut self, parallel_build: bool) -> Self {
         self.parallel_build = parallel_build;
-        self
-    }
-
-    /// Points the session at a cross-run table-snapshot directory (see
-    /// [`P2Config::table_store_dir`]).
-    pub fn with_table_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.table_store_dir = Some(dir.into());
         self
     }
 

@@ -44,15 +44,11 @@ mod error;
 mod observer;
 mod pipeline;
 mod result;
-mod table_store;
 
 pub use accuracy::{top_k_accuracy, TopKReport};
 pub use batch::{run_batch, BatchOptions, BatchOutcome};
 pub use builder::P2Builder;
-pub use canonical::{
-    canonical_mode, canonical_session, canonical_system, canonical_tables_form,
-    CANONICAL_TABLES_VERSION, CANONICAL_VERSION,
-};
+pub use canonical::{canonical_mode, canonical_session, canonical_system, CANONICAL_VERSION};
 pub use config::P2Config;
 pub use error::P2Error;
 pub use observer::{
@@ -61,4 +57,3 @@ pub use observer::{
 };
 pub use pipeline::{PendingSweep, RunMode, P2};
 pub use result::{ExperimentResult, PlacementEvaluation, ProgramEvaluation};
-pub use table_store::{TableSnapshot, TableStore, TableStoreStats};

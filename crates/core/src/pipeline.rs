@@ -11,7 +11,7 @@ use p2_placement::{
     enumerate_matrices, for_each_matrix, MatrixControl, MatrixSink, ParallelismMatrix,
 };
 use p2_synthesis::{
-    baseline_allreduce, LoweredProgram, MemoBank, Program, SinkControl, SynthesisError, Synthesizer,
+    baseline_allreduce, LoweredProgram, Program, SinkControl, SynthesisError, Synthesizer,
 };
 
 use crate::builder::P2Builder;
@@ -19,7 +19,6 @@ use crate::config::P2Config;
 use crate::error::P2Error;
 use crate::observer::RunObserver;
 use crate::result::{ExperimentResult, PlacementEvaluation, ProgramEvaluation};
-use crate::table_store::{TableSnapshot, TableStore, TableStoreStats};
 
 /// How [`P2::run`] drives the synthesized programs through prediction and
 /// measurement.
@@ -290,54 +289,18 @@ impl P2 {
                 false,
             ),
         };
-        // The suffix-memo bank: externally supplied (batch sharing), or
-        // created fresh when this session owns a table store that will
-        // persist it. Plain sweeps skip the bank — every placement of one
-        // sweep solves a distinct context, so within a run there is nothing
-        // to share and, without a store, nothing to keep.
-        let external_memo = self.config.shared_memo.is_some();
-        let store_active =
-            self.config.table_store_dir.is_some() && !external_tables && !external_memo;
-        let memo: Option<Arc<MemoBank>> = match &self.config.shared_memo {
-            Some(bank) => Some(Arc::clone(bank)),
-            None => store_active.then(|| Arc::new(MemoBank::new())),
-        };
-        // Load-or-empty: a snapshot under this session's table key warms the
-        // fresh tables and bank before any job is spawned; a missing or
-        // corrupt snapshot is a counted miss and the sweep starts cold.
-        let store = if store_active {
-            let dir = self.config.table_store_dir.clone().expect("store active");
-            let store = TableStore::new(dir);
-            let key = self.config.table_key();
-            let mut stats = TableStoreStats {
-                table_key: format!("{key}"),
-                ..TableStoreStats::default()
-            };
-            let started = Instant::now();
-            if let Some(snapshot) = store.load(key) {
-                stats.loaded = true;
-                let bank = memo.as_ref().expect("store implies a bank");
-                snapshot.install(shared.as_deref(), bank, &mut stats);
-            }
-            stats.load_micros = started.elapsed().as_micros() as u64;
-            Some((store, key, stats))
-        } else {
-            None
-        };
         let mut handles = Vec::new();
         self.for_each_placement(&mut |matrix: &ParallelismMatrix| {
             let index = handles.len();
             let matrix = matrix.clone();
             let model = Arc::clone(&model);
             let shared = shared.clone();
-            let memo = memo.clone();
             handles.push(scheduler.spawn(move || {
                 self.evaluate_placement(
                     index,
                     &matrix,
                     &model,
                     shared.as_ref(),
-                    memo.as_ref(),
                     measure_programs,
                     observer,
                 )
@@ -349,8 +312,6 @@ impl P2 {
             handles,
             shared,
             external_tables,
-            memo,
-            store,
         })
     }
 
@@ -470,14 +431,12 @@ impl P2 {
     /// tree) are released instead of waiting forever; a panic is re-raised on
     /// the thread joining the sweep, failing the run exactly as it did before
     /// observers could block.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_placement(
         &self,
         index: usize,
         matrix: &ParallelismMatrix,
         model: &Arc<dyn CostModel>,
         shared: Option<&Arc<SharedTables>>,
-        memo: Option<&Arc<MemoBank>>,
         measure_programs: bool,
         observer: &dyn RunObserver,
     ) -> Result<PlacementEvaluation, P2Error> {
@@ -498,27 +457,18 @@ impl P2 {
             index,
             armed: true,
         };
-        let result = self.evaluate_placement_inner(
-            index,
-            matrix,
-            model,
-            shared,
-            memo,
-            measure_programs,
-            observer,
-        );
+        let result =
+            self.evaluate_placement_inner(index, matrix, model, shared, measure_programs, observer);
         guard.armed = result.is_err();
         result
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_placement_inner(
         &self,
         index: usize,
         matrix: &ParallelismMatrix,
         model: &Arc<dyn CostModel>,
         shared: Option<&Arc<SharedTables>>,
-        memo: Option<&Arc<MemoBank>>,
         measure_programs: bool,
         observer: &dyn RunObserver,
     ) -> Result<PlacementEvaluation, P2Error> {
@@ -541,9 +491,6 @@ impl P2 {
         )?;
         if let Some(tables) = shared {
             synthesizer = synthesizer.with_shared_tables(Arc::clone(tables));
-        }
-        if let Some(bank) = memo {
-            synthesizer = synthesizer.with_memo_bank(Arc::clone(bank));
         }
         if self.config.parallel_build {
             // Placement jobs already run on the sweep pool, so the build
@@ -731,16 +678,6 @@ impl P2 {
         self.config.shared_tables = Some(tables);
         self
     }
-
-    /// Returns the session with its suffix-memo bank replaced by a
-    /// caller-supplied one, extending completion-count memoization across
-    /// every session sharing the bank (see [`P2Config::shared_memo`]).
-    /// Result-invisible, like [`P2::with_shared_tables`]; a session holding
-    /// an external bank leaves snapshot persistence to whoever owns it.
-    pub fn with_shared_memo(mut self, bank: Arc<MemoBank>) -> Self {
-        self.config.shared_memo = Some(bank);
-        self
-    }
 }
 
 /// A sweep whose placement-evaluation jobs have been submitted to a
@@ -754,8 +691,6 @@ pub struct PendingSweep<'env> {
     handles: Vec<JobHandle<Result<PlacementEvaluation, P2Error>>>,
     shared: Option<Arc<SharedTables>>,
     external_tables: bool,
-    memo: Option<Arc<MemoBank>>,
-    store: Option<(TableStore, p2_hash::Fingerprint, TableStoreStats)>,
 }
 
 impl<'env> PendingSweep<'env> {
@@ -782,8 +717,6 @@ impl<'env> PendingSweep<'env> {
             handles,
             shared,
             external_tables,
-            memo,
-            store,
         } = self;
         let mut placements = Vec::with_capacity(handles.len());
         let mut total_synthesis = std::time::Duration::ZERO;
@@ -808,22 +741,6 @@ impl<'env> PendingSweep<'env> {
             },
             table_store: None,
         };
-        // Snapshot-after-run: the sweep has drained, so the tables and bank
-        // hold their final (deterministic) content. A failed save is
-        // telemetry, not an error — the results are already in hand.
-        if let Some((store, key, mut stats)) = store {
-            let bank = memo.as_ref().expect("store implies a bank");
-            let started = Instant::now();
-            let snapshot = TableSnapshot::capture(shared.as_deref(), bank);
-            stats.saved_states = snapshot.states.len();
-            stats.saved_apply_entries = snapshot.apply.len();
-            stats.saved_memo_slabs = snapshot.memo.len();
-            stats.saved = !snapshot.is_empty() && store.save(key, &snapshot).is_ok();
-            stats.save_micros = started.elapsed().as_micros() as u64;
-            stats.seeded_searches = bank.seeded_searches();
-            stats.seeded_entries = bank.seeded_entries();
-            result.table_store = Some(stats);
-        }
         if let RunMode::Shortlist(n) = session.mode {
             session.measure_shortlist_on(scheduler, &mut result, n)?;
         }
@@ -1078,38 +995,6 @@ mod tests {
         let cached = small_builder().keep_top(3).cost_cache(true).run().unwrap();
         let uncached = small_builder().keep_top(3).cost_cache(false).run().unwrap();
         assert_same_numbers(&cached, &uncached);
-    }
-
-    #[test]
-    fn table_store_warm_start_is_result_invisible() {
-        let dir = std::env::temp_dir().join(format!(
-            "p2-pipeline-store-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plain = small_builder().run().unwrap();
-        assert!(plain.table_store.is_none());
-        // Cold run: nothing to load, snapshot written.
-        let cold = small_builder().table_store_dir(&dir).run().unwrap();
-        let cold_stats = cold.table_store.as_ref().unwrap();
-        assert!(!cold_stats.loaded);
-        assert!(cold_stats.saved);
-        assert!(cold_stats.saved_states > 0);
-        assert!(cold_stats.saved_memo_slabs > 0);
-        assert_eq!(cold_stats.seeded_searches, 0);
-        // Warm run: snapshot adopted, every placement's search seeded.
-        let warm = small_builder().table_store_dir(&dir).run().unwrap();
-        let warm_stats = warm.table_store.as_ref().unwrap();
-        assert!(warm_stats.loaded);
-        assert_eq!(warm_stats.table_key, cold_stats.table_key);
-        assert_eq!(warm_stats.warm_states, cold_stats.saved_states);
-        assert!(warm_stats.seeded_searches > 0);
-        assert!(warm.placements.iter().any(|p| p.suffix_memo_preloaded > 0));
-        // Warm-starting changes no result bit.
-        assert_same_numbers(&plain, &cold);
-        assert_same_numbers(&cold, &warm);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -57,9 +57,8 @@ pub struct PlacementEvaluation {
     pub suffix_memo_hits: usize,
     /// Suffix-memo entries computed for the first time during emission.
     pub suffix_memo_misses: usize,
-    /// Suffix-memo entries this placement's search started with, seeded from
-    /// a shared [`p2_synthesis::MemoBank`] (0 without a bank or on a bank
-    /// miss — every cold run).
+    /// Always zero: no search starts from a preloaded suffix memo.
+    /// Kept because the `perfbench` harness still sets this field.
     pub suffix_memo_preloaded: usize,
     /// Device states this placement found already interned in the sweep's
     /// shared tables (0 when the sweep runs with private tables; under a
@@ -137,10 +136,9 @@ pub struct ExperimentResult {
     /// Deterministic for any worker count: it is the size of the set union of
     /// the per-placement universes.
     pub shared_unique_device_states: Option<usize>,
-    /// Telemetry of the session's cross-run table-store interaction (`None`
-    /// when the session ran without a [`TableStore`](crate::TableStore) of
-    /// its own — including batch members whose sharing group owns the store).
-    pub table_store: Option<crate::TableStoreStats>,
+    /// Always `None` — the type cannot hold anything else. Kept because the
+    /// `perfbench` harness still sets this field when it builds a result.
+    pub table_store: Option<std::convert::Infallible>,
 }
 
 impl ExperimentResult {

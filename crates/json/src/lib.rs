@@ -1,6 +1,5 @@
-//! A miniature JSON value type: enough of RFC 8259 for the plan store's and
-//! table store's versioned records and the wire protocol's one-line
-//! requests/responses.
+//! A miniature JSON value type: enough of RFC 8259 for the plan store's
+//! versioned records and the wire protocol's one-line requests/responses.
 //!
 //! The workspace builds fully offline, so this replaces `serde_json` the way
 //! `crates/proptest-shim` replaces proptest: a small, std-only subset with
@@ -12,6 +11,12 @@
 
 use std::fmt;
 use std::path::Path;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a bound one hostile line of
+/// `[[[[…` overflows the stack and aborts the process; 128 is far above any
+/// plan record or wire request.
+pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +42,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -151,8 +156,16 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_NESTING_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING_DEPTH} levels at offset {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -168,7 +181,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -193,7 +206,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -377,6 +390,17 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let error = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(error.contains("nesting deeper than"), "{error}");
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+        // Exactly the limit parses; one level more does not.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_NESTING_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_NESTING_DEPTH + 1)).is_err());
     }
 
     #[test]

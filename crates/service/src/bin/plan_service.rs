@@ -4,8 +4,7 @@
 //! ```text
 //! plan_service serve  --addr 127.0.0.1:7973 [--store DIR] [--threads N]
 //!                     [--queue-capacity N] [--max-batch N] [--lru N]
-//!                     [--tables-dir DIR] [--store-max-bytes N]
-//!                     [--store-ttl-secs N]
+//!                     [--store-max-bytes N] [--store-ttl-secs N]
 //! plan_service client --addr 127.0.0.1:7973 [--retry N] [--tenant T]
 //!                     (--op ping|stats|shutdown | plan flags)
 //!                     [--repeat N] [--concurrent N] [--expect-source S]
@@ -84,7 +83,6 @@ fn planner_config(args: &[String]) -> PlannerConfig {
         config.lru_capacity = lru;
     }
     config.store_dir = flag_value(args, "--store").map(PathBuf::from);
-    config.tables_dir = flag_value(args, "--tables-dir").map(PathBuf::from);
     if let Some(max_bytes) = flag_usize(args, "--store-max-bytes") {
         config.store_max_bytes = Some(max_bytes as u64);
     }
@@ -98,9 +96,6 @@ fn serve(args: &[String]) {
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7973".to_string());
     let listener = TcpListener::bind(&addr).unwrap_or_else(|e| die(&format!("bind {addr}: {e}")));
     let config = planner_config(args);
-    if let Some(dir) = &config.tables_dir {
-        println!("table store at {}", dir.display());
-    }
     let planner = Planner::new(config).unwrap_or_else(|e| die(&format!("start planner: {e}")));
     let local = listener
         .local_addr()
@@ -135,9 +130,6 @@ fn handle_connection(stream: TcpStream, planner: &Planner, stop: &AtomicBool, lo
         Err(_) => return,
     };
     let reader = BufReader::new(stream);
-    // Snapshot counters last reported by this connection, so serve mode logs
-    // every table-store load/save outcome exactly once.
-    let mut snapshots_seen = (0u64, 0u64);
     for line in reader.lines() {
         let Ok(line) = line else { return };
         if line.trim().is_empty() {
@@ -154,39 +146,15 @@ fn handle_connection(stream: TcpStream, planner: &Planner, stop: &AtomicBool, lo
                 let _ = TcpStream::connect(local);
                 return;
             }
-            Ok(WireRequest::Plan { tenant, request }) => {
-                let reply = match planner.plan(&tenant, *request) {
-                    Ok(response) => encode_plan_response(&response),
-                    Err(error) => encode_error(&error),
-                };
-                log_snapshot_activity(planner, &mut snapshots_seen);
-                reply
-            }
+            Ok(WireRequest::Plan { tenant, request }) => match planner.plan(&tenant, *request) {
+                Ok(response) => encode_plan_response(&response),
+                Err(error) => encode_error(&error),
+            },
         };
         if writeln!(writer, "{reply}").is_err() {
             return;
         }
     }
-}
-
-/// Logs table-store snapshot loads/saves that happened since this
-/// connection last looked (a save lands after the plan is published, so it
-/// may be reported by a later request's log line).
-fn log_snapshot_activity(planner: &Planner, seen: &mut (u64, u64)) {
-    let stats = planner.stats();
-    if stats.snapshot_loads > seen.0 {
-        println!(
-            "table store: loaded {} snapshot(s), {} warm state(s), {}us total",
-            stats.snapshot_loads, stats.warm_states, stats.snapshot_load_micros
-        );
-    }
-    if stats.snapshot_saves > seen.1 {
-        println!(
-            "table store: saved {} snapshot(s), {}us total",
-            stats.snapshot_saves, stats.snapshot_save_micros
-        );
-    }
-    *seen = (stats.snapshot_loads, stats.snapshot_saves);
 }
 
 // ---------------------------------------------------------------- client --
@@ -355,7 +323,6 @@ fn spawn_smoke_server(store: &std::path::Path, threads: usize) -> SmokeServer {
     let config = PlannerConfig {
         threads,
         store_dir: Some(store.to_path_buf()),
-        tables_dir: Some(store.join("tables")),
         ..PlannerConfig::default()
     };
     let planner = Planner::new(config).unwrap_or_else(|e| die(&format!("start planner: {e}")));
@@ -430,11 +397,6 @@ fn smoke(args: &[String]) {
             check_source(&distinct, "synthesized"),
         ));
 
-        checks.push((
-            "stats surface table-store snapshot saves",
-            stats_field(&mut stream, "snapshot_saves") >= 1,
-        ));
-
         let bye = send_line(&mut stream, r#"{"op":"shutdown"}"#);
         checks.push((
             "shutdown acknowledged",
@@ -452,19 +414,6 @@ fn smoke(args: &[String]) {
         checks.push((
             "restart serves from the disk store",
             check_source(&disk, "disk"),
-        ));
-        // Same table key, fresh plan fingerprint: the synthesis itself must
-        // warm-start from the restarted server's table-store snapshot.
-        let plan_a_resized = plan_a.replace("1e9", "2e9");
-        let warmed = send_line(&mut stream, &plan_a_resized);
-        checks.push((
-            "changed bytes re-synthesizes",
-            check_source(&warmed, "synthesized"),
-        ));
-        checks.push((
-            "new synthesis warm-starts from the table snapshot",
-            stats_field(&mut stream, "snapshot_loads") >= 1
-                && stats_field(&mut stream, "warm_states") > 0,
         ));
         let _ = send_line(&mut stream, r#"{"op":"shutdown"}"#);
     }

@@ -42,9 +42,9 @@
 #![deny(missing_docs)]
 
 mod error;
-/// The JSON value type this crate serializes through — now hosted by
-/// [`p2_json`] so the core table store shares it; re-exported here to keep
-/// the long-standing `p2_service::json` paths working.
+/// The JSON value type this crate serializes through, hosted by
+/// [`p2_json`]; re-exported here to keep the long-standing
+/// `p2_service::json` paths working.
 pub mod json {
     pub use p2_json::{Json, JsonObject};
 }

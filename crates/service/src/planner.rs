@@ -19,11 +19,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use p2_collectives::SharedTables;
-use p2_core::{
-    run_batch, BatchOptions, RunObserver, TableSnapshot, TableStore, TableStoreStats, P2,
-};
+use p2_core::{run_batch, BatchOptions, RunObserver, P2};
 use p2_hash::{Fingerprint, FxHashMap};
-use p2_synthesis::MemoBank;
 
 use crate::error::ServiceError;
 use crate::plan::Plan;
@@ -60,13 +57,6 @@ pub struct PlannerConfig {
     /// reuse interned states and memoized collective applications from
     /// earlier ones (result-invisible; pinned by the determinism suite).
     pub warm_tables: bool,
-    /// Cross-run table-store directory. When set, the planner keeps one
-    /// [`SharedTables`] + [`MemoBank`] pair *per table key* (instead of the
-    /// single `warm_tables` interner), loads the key's snapshot the first
-    /// time a batch needs it, and saves the merged tables after every batch
-    /// that touched the key — so a restarted planner warm-starts from disk.
-    /// Result-invisible, like `warm_tables`.
-    pub tables_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for PlannerConfig {
@@ -81,7 +71,6 @@ impl Default for PlannerConfig {
             store_max_bytes: None,
             store_ttl: None,
             warm_tables: true,
-            tables_dir: None,
         }
     }
 }
@@ -121,16 +110,6 @@ pub struct PlannerStats {
     pub resident_bytes: u64,
     /// Disk records that existed but failed to decode.
     pub disk_misreads: u64,
-    /// Table-store snapshots loaded from [`PlannerConfig::tables_dir`].
-    pub snapshot_loads: u64,
-    /// Table-store snapshots saved to [`PlannerConfig::tables_dir`].
-    pub snapshot_saves: u64,
-    /// Cumulative microseconds spent loading table-store snapshots.
-    pub snapshot_load_micros: u64,
-    /// Cumulative microseconds spent saving table-store snapshots.
-    pub snapshot_save_micros: u64,
-    /// Interned states adopted from loaded snapshots (warm-reused states).
-    pub warm_states: u64,
 }
 
 /// Per-request response telemetry around the served plan.
@@ -262,25 +241,7 @@ struct Counters {
     rejected: AtomicU64,
     store_errors: AtomicU64,
     peak_queue_depth: AtomicU64,
-    snapshot_loads: AtomicU64,
-    snapshot_saves: AtomicU64,
-    snapshot_load_micros: AtomicU64,
-    snapshot_save_micros: AtomicU64,
-    warm_states: AtomicU64,
 }
-
-/// Per-table-key warm state of a planner with a cross-run table store: one
-/// [`SharedTables`] + [`MemoBank`] pair per key, snapshot-loaded on first
-/// use and saved after every batch that touched the key. Keying by table
-/// key keeps each snapshot pure (only that key's states), which is what the
-/// all-or-nothing preload contract requires.
-struct TableStoreState {
-    store: TableStore,
-    by_key: Mutex<FxHashMap<u128, WarmPair>>,
-}
-
-/// The shared interner/apply tables and memo bank warming one table key.
-type WarmPair = (Arc<SharedTables>, Arc<MemoBank>);
 
 struct PlannerInner {
     config: PlannerConfig,
@@ -291,7 +252,6 @@ struct PlannerInner {
     stats: Counters,
     shutdown: AtomicBool,
     tables: Option<Arc<SharedTables>>,
-    table_store: Option<TableStoreState>,
     observer: Option<Arc<dyn RunObserver + Send + Sync>>,
 }
 
@@ -350,14 +310,7 @@ impl Planner {
         }
         .with_max_bytes(config.store_max_bytes)
         .with_ttl(config.store_ttl);
-        // A cross-run table store supersedes the in-process warm interner:
-        // its per-key tables *are* the warm tables, persisted on top.
-        let table_store = config.tables_dir.as_ref().map(|dir| TableStoreState {
-            store: TableStore::new(dir),
-            by_key: Mutex::new(FxHashMap::default()),
-        });
-        let tables =
-            (config.warm_tables && table_store.is_none()).then(|| Arc::new(SharedTables::new()));
+        let tables = config.warm_tables.then(|| Arc::new(SharedTables::new()));
         let inner = Arc::new(PlannerInner {
             config,
             store: Mutex::new(store),
@@ -367,7 +320,6 @@ impl Planner {
             stats: Counters::default(),
             shutdown: AtomicBool::new(false),
             tables,
-            table_store,
             observer,
         });
         let worker_inner = Arc::clone(&inner);
@@ -511,11 +463,6 @@ impl Planner {
             ttl_evictions: store.ttl_evictions(),
             resident_bytes: store.resident_bytes(),
             disk_misreads: store.disk_misreads(),
-            snapshot_loads: inner.stats.snapshot_loads.load(Ordering::Relaxed),
-            snapshot_saves: inner.stats.snapshot_saves.load(Ordering::Relaxed),
-            snapshot_load_micros: inner.stats.snapshot_load_micros.load(Ordering::Relaxed),
-            snapshot_save_micros: inner.stats.snapshot_save_micros.load(Ordering::Relaxed),
-            warm_states: inner.stats.warm_states.load(Ordering::Relaxed),
         }
     }
 
@@ -563,9 +510,7 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
         for queued in batch {
             match queued.request.session() {
                 Ok(session) => {
-                    let session = if let Some(table_store) = &inner.table_store {
-                        warm_session(inner, table_store, session)
-                    } else if let Some(tables) = &inner.tables {
+                    let session = if let Some(tables) = &inner.tables {
                         session.with_shared_tables(Arc::clone(tables))
                     } else {
                         session
@@ -603,7 +548,6 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
                     ));
                     finish(inner, queued, Ok(plan));
                 }
-                save_touched_snapshots(inner, &jobs);
             }
             Err(error) => {
                 for (queued, _) in &jobs {
@@ -611,67 +555,6 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
                 }
             }
         }
-    }
-}
-
-/// Attaches the cross-run warm state for the session's table key: the key's
-/// shared tables and memo bank, snapshot-loaded from disk the first time
-/// the key is seen. Supplying both externally also deactivates the
-/// session's own per-run store, so the planner is the sole persister.
-fn warm_session(inner: &PlannerInner, state: &TableStoreState, session: P2) -> P2 {
-    let key = session.config().table_key();
-    let mut by_key = state.by_key.lock().expect("table store poisoned");
-    let (tables, bank) = by_key.entry(key.0).or_insert_with(|| {
-        let tables = Arc::new(SharedTables::new());
-        let bank = Arc::new(MemoBank::new());
-        let started = Instant::now();
-        if let Some(snapshot) = state.store.load(key) {
-            let mut stats = TableStoreStats::default();
-            snapshot.install(Some(&tables), &bank, &mut stats);
-            inner.stats.snapshot_loads.fetch_add(1, Ordering::Relaxed);
-            inner
-                .stats
-                .warm_states
-                .fetch_add(stats.warm_states as u64, Ordering::Relaxed);
-        }
-        inner
-            .stats
-            .snapshot_load_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        (tables, bank)
-    });
-    session
-        .with_shared_tables(Arc::clone(tables))
-        .with_shared_memo(Arc::clone(bank))
-}
-
-/// Saves one snapshot per table key the finished batch touched. Failed or
-/// empty saves are skipped silently (the tables stay warm in memory); the
-/// batch's plans are already published either way.
-fn save_touched_snapshots(inner: &PlannerInner, jobs: &[(Queued, P2)]) {
-    let Some(table_store) = &inner.table_store else {
-        return;
-    };
-    let mut keys: Vec<Fingerprint> = jobs
-        .iter()
-        .map(|(_, session)| session.config().table_key())
-        .collect();
-    keys.sort_by_key(|key| key.0);
-    keys.dedup();
-    let by_key = table_store.by_key.lock().expect("table store poisoned");
-    for key in keys {
-        let Some((tables, bank)) = by_key.get(&key.0) else {
-            continue;
-        };
-        let started = Instant::now();
-        let snapshot = TableSnapshot::capture(Some(tables), bank);
-        if !snapshot.is_empty() && table_store.store.save(key, &snapshot).is_ok() {
-            inner.stats.snapshot_saves.fetch_add(1, Ordering::Relaxed);
-        }
-        inner
-            .stats
-            .snapshot_save_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
     }
 }
 
@@ -712,48 +595,6 @@ mod tests {
             .iter()
             .map(|q| q.fingerprint.to_string())
             .collect()
-    }
-
-    #[test]
-    fn table_store_snapshots_survive_planner_restarts() {
-        let dir = std::env::temp_dir().join(format!(
-            "p2-planner-store-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = PlannerConfig {
-            threads: 2,
-            tables_dir: Some(dir.clone()),
-            ..PlannerConfig::default()
-        };
-        let request = || {
-            PlanRequest::new(p2_topology::presets::a100_system(2), vec![8, 4], vec![0])
-                .with_bytes_per_device(1.0e9)
-                .with_repeats(2)
-        };
-        let cold_planner = Planner::new(config.clone()).unwrap();
-        let cold = cold_planner.plan("restart", request()).unwrap();
-        // Joins the worker: the post-batch snapshot save has finished and
-        // the counters are quiescent.
-        cold_planner.shutdown();
-        let cold_stats = cold_planner.stats();
-        assert_eq!(cold_stats.snapshot_loads, 0);
-        assert_eq!(cold_stats.snapshot_saves, 1);
-        assert_eq!(cold_stats.warm_states, 0);
-        drop(cold_planner);
-        // A fresh planner over the same directory warm-starts from disk and
-        // serves a bit-identical plan.
-        let warm_planner = Planner::new(config).unwrap();
-        let warm = warm_planner.plan("restart", request()).unwrap();
-        warm_planner.shutdown();
-        let warm_stats = warm_planner.stats();
-        assert_eq!(warm_stats.snapshot_loads, 1);
-        assert!(warm_stats.warm_states > 0);
-        // Bit-identical modulo wall-clock (`synthesis_micros`).
-        assert_eq!(warm.plan.fingerprint, cold.plan.fingerprint);
-        assert_eq!(warm.plan.entries, cold.plan.entries);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -254,17 +254,6 @@ pub fn encode_stats(stats: &PlannerStats) -> String {
         .push("ttl_evictions", Json::Num(stats.ttl_evictions as f64))
         .push("resident_bytes", Json::Num(stats.resident_bytes as f64))
         .push("disk_misreads", Json::Num(stats.disk_misreads as f64))
-        .push("snapshot_loads", Json::Num(stats.snapshot_loads as f64))
-        .push("snapshot_saves", Json::Num(stats.snapshot_saves as f64))
-        .push(
-            "snapshot_load_micros",
-            Json::Num(stats.snapshot_load_micros as f64),
-        )
-        .push(
-            "snapshot_save_micros",
-            Json::Num(stats.snapshot_save_micros as f64),
-        )
-        .push("warm_states", Json::Num(stats.warm_states as f64))
         .build()
         .to_string()
 }
@@ -352,6 +341,18 @@ mod tests {
                 "{bad} should fail"
             );
         }
+    }
+
+    #[test]
+    fn deeply_nested_lines_get_a_protocol_error_reply() {
+        // One hostile line must not overflow the connection thread's stack
+        // (which aborts the whole server): it is refused like any bad line.
+        let line = "[".repeat(200_000);
+        let error = parse_request(&line).unwrap_err();
+        assert!(matches!(error, ServiceError::Protocol(_)), "{error}");
+        let reply = Json::parse(&encode_error(&error)).unwrap();
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(reply.get("kind").and_then(Json::as_str), Some("protocol"));
     }
 
     #[test]

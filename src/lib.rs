@@ -53,8 +53,8 @@ pub use p2_collectives::{Collective, State};
 pub use p2_core::{
     run_batch, top_k_accuracy, BatchOptions, BatchOutcome, ExperimentResult, P2Builder, P2Config,
     P2Error, PendingSweep, PlacementEvaluation, ProgramEvaluation, ProgressObserver, RunMode,
-    RunObserver, SharedBoundObserver, SharedBoundTree, SlotBoundObserver, TableSnapshot,
-    TableStore, TableStoreStats, TopKReport, TwoPassSharedBound, P2,
+    RunObserver, SharedBoundObserver, SharedBoundTree, SlotBoundObserver, TopKReport,
+    TwoPassSharedBound, P2,
 };
 pub use p2_cost::{
     cost_model_from_args, AlphaBetaModel, CacheStats, CachedCostModel, CalibratedModel,
@@ -71,8 +71,8 @@ pub use p2_service::{
     PlannerConfig, PlannerStats, ServiceError,
 };
 pub use p2_synthesis::{
-    baseline_allreduce, Form, HierarchyKind, Instruction, LoweredProgram, MemoBank, MemoSlab,
-    Program, ProgramSink, SinkControl, SynthesisStats, Synthesizer,
+    baseline_allreduce, Form, HierarchyKind, Instruction, LoweredProgram, Program, ProgramSink,
+    SinkControl, SynthesisStats, Synthesizer,
 };
 pub use p2_topology::presets;
 pub use p2_topology::{Hierarchy, Interconnect, Level, SystemTopology};

@@ -193,56 +193,6 @@ fn shared_interning_is_invisible_in_results() {
     }
 }
 
-/// The cross-run table store must be result-invisible: a warm-started run
-/// (snapshot loaded from disk) is bit-identical to the cold run that wrote
-/// the snapshot and to a store-less baseline — for 1, 2 and 8 worker
-/// threads, so warm seeding cannot interact with the steal schedule.
-#[test]
-fn warm_started_runs_are_identical_to_cold_runs_for_any_thread_count() {
-    let dir = std::env::temp_dir().join(format!(
-        "p2-determinism-store-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let baseline = P2::new(config(0x5eed).with_threads(1))
-        .unwrap()
-        .run()
-        .unwrap();
-    let cold = P2::new(config(0x5eed).with_threads(1).with_table_store_dir(&dir))
-        .unwrap()
-        .run()
-        .unwrap();
-    let cold_stats = cold.table_store.clone().expect("store was active");
-    assert!(!cold_stats.loaded);
-    assert!(cold_stats.saved);
-    assert!(cold_stats.saved_states > 0);
-    assert_identical(&baseline, &cold);
-    for threads in [1usize, 2, 8] {
-        let warm = P2::new(
-            config(0x5eed)
-                .with_threads(threads)
-                .with_table_store_dir(&dir),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        let stats = warm.table_store.clone().expect("store was active");
-        assert!(stats.loaded, "threads={threads}: snapshot must load");
-        assert_eq!(stats.table_key, cold_stats.table_key);
-        assert_eq!(stats.warm_states, cold_stats.saved_states);
-        assert!(stats.seeded_searches > 0, "threads={threads}");
-        assert_identical(&baseline, &warm);
-        // The warm interner starts from exactly the cold run's final state
-        // set and produces the same states, so the final sizes agree too.
-        assert_eq!(
-            warm.shared_unique_device_states,
-            cold.shared_unique_device_states
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn different_seeds_produce_different_measurements() {
     let a = P2::new(config(1)).unwrap().run().unwrap();
